@@ -8,12 +8,14 @@ checksum-verified shards.
 
 - **Shard files** hold one batch of named numpy arrays in a simple
   length-prefixed container (``.npy`` blobs behind a JSON header).
-  Every shard is published atomically — written to a ``mkstemp`` temp
-  file in the same directory, flushed, ``fsync``'d, then ``os.replace``d
-  into its final name — and its SHA-256 is recorded at write time.
-- **The manifest** is a schema-versioned envelope (payload JSON +
-  content hash, the same shape as :class:`repro.runtime.CheckpointStore`
-  records) published with the same atomic sequence. While a
+  Every shard is published atomically by
+  :func:`repro.core.durable.publish` — written to a temp file in the
+  same directory, flushed, ``fsync``'d, then ``os.replace``d into its
+  final name — and its SHA-256 is recorded at write time.
+- **The manifest** is the schema-versioned envelope of
+  :func:`repro.core.durable.encode_envelope` (payload JSON + content
+  hash; :class:`repro.runtime.CheckpointStore` records use the same
+  envelope plus ``seq`` and ``kind``), published the same way. While a
   :class:`ShardWriter` is still appending, a *partial* manifest journal
   is re-published after every shard, so a killed writer can be resumed
   with :meth:`ShardWriter.resume` and the finished dataset is identical
@@ -41,13 +43,14 @@ import io
 import json
 import os
 import shutil
-import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from repro.core.durable import (CorruptEnvelope, decode_envelope,
+                                encode_envelope, publish, remove,
+                                sweep_temp_files)
 from repro.core.exceptions import DataError, ValidationError
 from repro.observe.observer import resolve_observer
 
@@ -72,11 +75,6 @@ QUARANTINE_DIR = "quarantine"
 _SHARD_PREFIX = "shard-"
 _SHARD_SUFFIX = ".shard"
 _MAGIC = b"RSHARD1\n"
-
-#: Test seam: seconds to sleep between writing a temp file and renaming
-#: it into place, so torn-write tests can SIGKILL deterministically
-#: inside the publish window. Never set outside the test suite.
-_SLOW_PUBLISH_ENV = "REPRO_DATA_SLOW_PUBLISH"
 
 
 class ShardCorruptionError(DataError):
@@ -175,88 +173,22 @@ def _unpack_arrays(data: bytes, *, index: int | None = None,
     return arrays
 
 
-# --- atomic publish ---------------------------------------------------------
-
-def _atomic_publish(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` so a crash never exposes a torn file:
-    temp file in the same directory, flush + fsync, then ``os.replace``
-    and a best-effort directory fsync to make the rename durable."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            os.fsync(handle.fileno())
-        delay = os.environ.get(_SLOW_PUBLISH_ENV)
-        if delay:  # torn-write test seam: widen the kill window
-            time.sleep(float(delay))
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-    _fsync_dir(path.parent)
-
-
-def _fsync_dir(path: Path) -> None:
-    try:
-        dir_fd = os.open(path, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass
-    finally:
-        os.close(dir_fd)
-
-
-def _manifest_envelope(payload: dict) -> bytes:
-    payload_json = json.dumps(payload, sort_keys=True)
-    envelope = {
-        "schema": MANIFEST_SCHEMA,
-        "sha256": hashlib.sha256(payload_json.encode()).hexdigest(),
-        "payload": payload_json,
-    }
-    return json.dumps(envelope).encode()
-
+# --- manifest envelope -------------------------------------------------------
 
 def _read_manifest(path: Path) -> dict | None:
     """Decode + verify one manifest file; ``None`` when absent, a
     :class:`ShardCorruptionError` when present but torn/garbled."""
     try:
-        raw = path.read_text(encoding="utf-8")
+        return decode_envelope(path.read_bytes(), schema=MANIFEST_SCHEMA)[1]
     except FileNotFoundError:
         return None
     except OSError as error:
         raise ShardCorruptionError(
             f"manifest {path} is unreadable: {error}", path=path) from error
-
-    def corrupt(reason: str) -> ShardCorruptionError:
-        return ShardCorruptionError(
-            f"manifest {path} failed verification: {reason}", path=path)
-
-    try:
-        envelope = json.loads(raw)
-    except ValueError as error:
-        raise corrupt(f"garbled JSON: {error}") from error
-    if not isinstance(envelope, dict) \
-            or envelope.get("schema") != MANIFEST_SCHEMA:
-        raise corrupt(f"unknown schema {envelope.get('schema')!r}"
-                      if isinstance(envelope, dict) else "not an object")
-    payload_json = envelope.get("payload")
-    if not isinstance(payload_json, str):
-        raise corrupt("missing payload")
-    digest = hashlib.sha256(payload_json.encode()).hexdigest()
-    if digest != envelope.get("sha256"):
-        raise corrupt("content hash mismatch")
-    try:
-        return json.loads(payload_json)
-    except ValueError as error:
-        raise corrupt(f"garbled payload: {error}") from error
+    except CorruptEnvelope as error:
+        raise ShardCorruptionError(
+            f"manifest {path} failed verification: {error}",
+            path=path) from error
 
 
 def _shard_name(index: int) -> str:
@@ -307,14 +239,16 @@ class ShardWriter:
                 "reopen it with ShardWriter.resume(path) to continue, or "
                 "clear the directory to start over")
         self.mirror = bool(mirror)
+        if self.mirror:
+            (self.path / MIRROR_DIR).mkdir(exist_ok=True)
         self.observer = resolve_observer(observer)
         self.shards: list[ShardInfo] = list(_resumed_shards or [])
         self.array_names: list[str] | None = None
         self.meta: dict = dict(_meta or {})
         self._finalized = False
+        sweep_temp_files(self.path, self.path / MIRROR_DIR)
         if _resumed_shards is None:
-            self._sweep_temp_files()
-        self._publish_partial()
+            self._publish_partial()  # resume() republishes once restored
 
     # -- resume ------------------------------------------------------------
     @classmethod
@@ -343,26 +277,10 @@ class ShardWriter:
         writer = cls(path, mirror=journal_mirror if mirror is None else mirror,
                      observer=observer, _resumed_shards=shards, _meta=meta)
         writer.array_names = payload.get("arrays") if payload else None
-        writer._sweep_temp_files()
         for info in shards:
             writer._verify_file(path / info.name, info)
+        writer._publish_partial()
         return writer
-
-    def _sweep_temp_files(self) -> None:
-        """Remove temp files a killed publish left behind (never visible
-        to readers, but they waste space and confuse humans)."""
-        for stray in self.path.glob("*.tmp"):
-            try:
-                stray.unlink()
-            except OSError:
-                pass
-        mirror_dir = self.path / MIRROR_DIR
-        if mirror_dir.is_dir():
-            for stray in mirror_dir.glob("*.tmp"):
-                try:
-                    stray.unlink()
-                except OSError:
-                    pass
 
     @staticmethod
     def _verify_file(path: Path, info: ShardInfo) -> None:
@@ -416,9 +334,9 @@ class ShardWriter:
         data = _pack_arrays(arrays)
         digest = hashlib.sha256(data).hexdigest()
         name = _shard_name(index)
-        _atomic_publish(self.path / name, data)
+        publish(self.path / name, data)
         if self.mirror:
-            _atomic_publish(self.path / MIRROR_DIR / name, data)
+            publish(self.path / MIRROR_DIR / name, data)
         info = ShardInfo(index=index, name=name, rows=rows, sha256=digest,
                          nbytes=len(data))
         self.shards.append(info)
@@ -440,9 +358,9 @@ class ShardWriter:
         }
 
     def _publish_partial(self) -> None:
-        _atomic_publish(self.path / PARTIAL_MANIFEST_NAME,
-                        _manifest_envelope(
-                            self._manifest_payload(partial=True)))
+        publish(self.path / PARTIAL_MANIFEST_NAME,
+                encode_envelope(self._manifest_payload(partial=True),
+                                schema=MANIFEST_SCHEMA))
 
     # -- finalize ----------------------------------------------------------
     def finalize(self, meta: dict | None = None) -> "ShardedDataset":
@@ -459,13 +377,10 @@ class ShardWriter:
             raise ValidationError("cannot finalize an empty dataset")
         if meta:
             self.meta.update(meta)
-        _atomic_publish(self.path / MANIFEST_NAME,
-                        _manifest_envelope(
-                            self._manifest_payload(partial=False)))
-        try:
-            (self.path / PARTIAL_MANIFEST_NAME).unlink()
-        except OSError:
-            pass
+        publish(self.path / MANIFEST_NAME,
+                encode_envelope(self._manifest_payload(partial=False),
+                                schema=MANIFEST_SCHEMA))
+        remove(self.path / PARTIAL_MANIFEST_NAME)
         self._finalized = True
         return ShardedDataset(self.path, observer=self.observer)
 
@@ -637,7 +552,7 @@ class ShardedDataset:
             return False
         if hashlib.sha256(data).hexdigest() != info.sha256:
             return False
-        _atomic_publish(self.shard_path(index), data)
+        publish(self.shard_path(index), data)
         return True
 
     def verify_all(self) -> list[int]:

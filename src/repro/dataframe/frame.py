@@ -211,6 +211,8 @@ class DataFrame:
                     f"boolean mask length {len(indices)} != frame length {len(self)}"
                 )
             indices = np.flatnonzero(indices)
+        elif indices.size == 0:
+            indices = indices.astype(np.intp)  # ``[]`` arrives as float64
         columns = {n: c.take(indices) for n, c in self._columns.items()}
         return DataFrame._from_columns(columns, self.row_ids[indices])
 
@@ -226,7 +228,8 @@ class DataFrame:
         if isinstance(predicate, Expr):
             mask = predicate.evaluate(self)
         elif callable(predicate):
-            mask = np.array([bool(predicate(row)) for row in self.iter_rows()])
+            mask = np.array([bool(predicate(row)) for row in self.iter_rows()],
+                            dtype=bool)
         else:
             mask = np.asarray(predicate, dtype=bool)
         return self.take(mask)

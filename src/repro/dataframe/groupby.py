@@ -99,4 +99,5 @@ class GroupBy:
                     value.item() if isinstance(value, np.generic) else value
                 )
             rows.append(row)
-        return DataFrame.from_records(rows)
+        # Explicit columns keep an empty frame's key and output columns.
+        return DataFrame.from_records(rows, columns=[*self._keys, *specs])

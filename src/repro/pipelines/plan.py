@@ -2,12 +2,11 @@
 
 Renders the operator DAG as an indented ASCII tree (leaves = sources,
 root = terminal node, mirroring Figure 3's plan sketch) and exports to a
-:mod:`networkx` digraph for programmatic analysis.
+:mod:`networkx` digraph; networkx is optional, imported only by
+:func:`to_networkx`.
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from repro.pipelines.operators import Node
 
@@ -36,11 +35,14 @@ def show_query_plan(plan: Node) -> str:
     return "\n".join(lines)
 
 
-def to_networkx(plan: Node) -> nx.DiGraph:
+def to_networkx(plan: Node):
     """Export the plan as a digraph with edges from inputs to consumers.
 
     Node attributes: ``op`` (operator kind) and ``label`` (description).
+    Needs the optional networkx package (in the ``dev`` extra).
     """
+    import networkx as nx
+
     graph = nx.DiGraph()
     for node in plan.walk():
         graph.add_node(node.id, op=node.op, label=node.describe())
@@ -51,13 +53,14 @@ def to_networkx(plan: Node) -> nx.DiGraph:
 
 def plan_stats(plan: Node) -> dict:
     """Simple structural statistics: operator counts, depth, source list."""
-    graph = to_networkx(plan)
     counts: dict[str, int] = {}
-    for node in plan.walk():
+    depth: dict[int, int] = {}  # longest input chain ending at each node
+    for node in plan.walk():  # inputs before consumers
         counts[node.op] = counts.get(node.op, 0) + 1
+        depth[node.id] = max((depth[up.id] + 1 for up in node.inputs), default=0)
     return {
-        "n_operators": graph.number_of_nodes(),
-        "depth": nx.dag_longest_path_length(graph) if graph.number_of_edges() else 0,
+        "n_operators": len(depth),
+        "depth": depth[plan.id],
         "operator_counts": counts,
         "sources": [n.params["name"] for n in plan.walk() if n.op == "source"],
     }

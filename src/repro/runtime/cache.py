@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-import tempfile
 import threading
 import weakref
 from collections import OrderedDict
@@ -31,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.durable import publish, remove
 from repro.core.exceptions import ValidationError
 
 _MISSING = object()
@@ -254,10 +254,7 @@ class FingerprintCache:
 
     @staticmethod
     def _discard_corrupt(path: Path):
-        try:
-            path.unlink()
-        except OSError:
-            pass
+        remove(path)
         return _CORRUPT
 
     # Consecutive put failures before the disk tier is switched off for
@@ -268,24 +265,14 @@ class FingerprintCache:
     def _disk_write(self, key: str, value: float) -> None:
         if self.disk_dir is None or self._disk_degraded:
             return
-        # Best-effort tier: an ENOSPC/EACCES/... anywhere in the publish
-        # sequence (mkdir included) must degrade the cache to
-        # memory-only, never crash the run mid-loop.
-        tmp = None
+        # Best-effort tier, never fsync'd (entries are recomputable): an
+        # ENOSPC/EACCES/... anywhere in the publish (mkdir included) must
+        # degrade the cache to memory-only, never crash the run mid-loop.
         try:
             path = self._disk_path(key)
             path.parent.mkdir(parents=True, exist_ok=True)
-            # Atomic publish: readers never observe a half-written entry.
-            fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-            with os.fdopen(fd, "w", encoding="ascii") as handle:
-                handle.write(float(value).hex())
-            os.replace(tmp, path)
+            publish(path, float(value).hex().encode("ascii"), fsync=False)
         except OSError:
-            if tmp is not None:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
             with self._lock:
                 self.stats.disk_put_errors += 1
                 self._disk_put_failures += 1

@@ -14,9 +14,11 @@ uninterrupted run, on any backend.
 Three layers:
 
 - :class:`CheckpointStore` — a crash-safe, append-only record store.
-  Every record is one file, published atomically (temp file + ``fsync``
-  + ``os.replace``) and self-verifying (schema version + SHA-256 content
-  hash). A truncated or garbled record is *detected*, surfaced as an
+  Every record is one file, published atomically by
+  :func:`repro.core.durable.publish` (temp file + ``fsync`` +
+  ``os.replace``, with a crash seam after each step for crash-point
+  tests) and self-verifying (the schema-versioned SHA-256 envelope of
+  :func:`repro.core.durable.encode_envelope`). A truncated or garbled record is *detected*, surfaced as an
   ``executor.checkpoint_corrupt`` runlog event, and skipped in favour of
   the last good record — never a crash.
 - :class:`Checkpointable` — the protocol a resumable loop speaks:
@@ -38,16 +40,15 @@ restored marginals/scores are *bitwise* identical to the originals.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import signal
-import tempfile
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
+from repro.core.durable import (CorruptEnvelope, decode_envelope,
+                                encode_envelope, publish, remove)
 from repro.core.exceptions import ValidationError
 from repro.observe.observer import resolve_observer
 from repro.observe.runlog import jsonable
@@ -130,12 +131,10 @@ class CheckpointStore:
         Default :class:`repro.observe.Observer` for write/restore
         accounting; individual calls may override it.
 
-    Every record is published atomically — written to a temp file in the
-    same directory, flushed and fsynced, then ``os.replace``d into its
-    final name — so a reader (or a resumed run) never observes a
-    half-written record. Each record embeds a SHA-256 hash of its
-    payload and the schema version; :meth:`load_latest` verifies both
-    and falls back past corrupt records instead of crashing.
+    Records are published by :func:`repro.core.durable.publish`, so a
+    reader (or a resumed run) never observes a half-written one, and
+    :meth:`load_latest` verifies each record's envelope (schema version
+    + SHA-256), falling back past corrupt records instead of crashing.
     """
 
     def __init__(self, path: str | os.PathLike, *, keep: int = 3,
@@ -172,73 +171,31 @@ class CheckpointStore:
         """Atomically publish one record; prunes beyond ``keep``.
 
         The payload is JSON-serialized (numpy scalars/arrays coerced via
-        :func:`repro.observe.jsonable`), content-hashed, and wrapped in
-        a schema-versioned envelope. The temp-write + fsync +
-        ``os.replace`` sequence guarantees a crash mid-write leaves the
-        previous record intact and never a half-record under the final
-        name.
+        :func:`repro.observe.jsonable`) into a schema-versioned,
+        content-hashed envelope; a crash mid-write leaves the previous
+        record intact and never a half-record under the final name.
         """
         observer = self.observer if observer is None \
             else resolve_observer(observer)
         payload = jsonable(payload)
-        payload_json = json.dumps(payload, sort_keys=True)
         with self._lock:
             seq = self._next_seq()
-            envelope = {
-                "schema": CHECKPOINT_SCHEMA,
-                "seq": seq,
-                "kind": kind,
-                "sha256": hashlib.sha256(payload_json.encode()).hexdigest(),
-                "payload": payload_json,
-            }
-            text = json.dumps(envelope)
+            data = encode_envelope(payload, schema=CHECKPOINT_SCHEMA,
+                                   seq=seq, kind=kind)
             final = self.path / f"{_RECORD_PREFIX}{seq:08d}{_RECORD_SUFFIX}"
-            fd, tmp = tempfile.mkstemp(dir=self.path, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(text)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, final)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-            self._fsync_dir()
+            publish(final, data)
             self._prune()
         if observer.enabled:
             observer.count("checkpoint.writes")
-            observer.count("checkpoint.bytes", len(text))
+            observer.count("checkpoint.bytes", len(data))
         return CheckpointRecord(seq=seq, kind=kind, payload=payload,
                                 path=final)
 
-    def _fsync_dir(self) -> None:
-        # Make the rename itself durable; best-effort (not all platforms
-        # allow opening a directory).
-        try:
-            dir_fd = os.open(self.path, os.O_RDONLY)
-        except OSError:
-            return
-        try:
-            os.fsync(dir_fd)
-        except OSError:
-            pass
-        finally:
-            os.close(dir_fd)
-
     def _prune(self) -> None:
         # Two resuming workers may share one store; whoever prunes
-        # second finds the stale record already gone. missing_ok (plus
-        # the OSError net for everything else) makes that a no-op
-        # instead of a crash.
-        paths = self.record_paths()
-        for stale in paths[:-self.keep] if self.keep else paths:
-            try:
-                stale.unlink(missing_ok=True)
-            except OSError:
-                pass
+        # second finds the stale record already gone, which remove()
+        # skips instead of crashing.
+        remove(*self.record_paths()[:-self.keep])
 
     # -- read --------------------------------------------------------------
     def _load(self, path: Path) -> CheckpointRecord | None:
@@ -246,23 +203,11 @@ class CheckpointStore:
         :data:`_VANISHED` when the file disappeared between listing and
         reading (a concurrent worker's prune — not corruption)."""
         try:
-            envelope = json.loads(path.read_text(encoding="utf-8"))
+            envelope, payload = decode_envelope(path.read_bytes(),
+                                                schema=CHECKPOINT_SCHEMA)
         except FileNotFoundError:
             return _VANISHED
-        except (OSError, ValueError):
-            return None
-        if not isinstance(envelope, dict) \
-                or envelope.get("schema") != CHECKPOINT_SCHEMA:
-            return None
-        payload_json = envelope.get("payload")
-        if not isinstance(payload_json, str):
-            return None
-        digest = hashlib.sha256(payload_json.encode()).hexdigest()
-        if digest != envelope.get("sha256"):
-            return None
-        try:
-            payload = json.loads(payload_json)
-        except ValueError:
+        except (OSError, CorruptEnvelope):
             return None
         return CheckpointRecord(seq=int(envelope.get("seq", 0)),
                                 kind=str(envelope.get("kind", "")),
@@ -299,11 +244,7 @@ class CheckpointStore:
 
     def clear(self) -> None:
         """Delete every record (a finished job's store can be reused)."""
-        for path in self.record_paths():
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        remove(*self.record_paths())
 
     def __repr__(self) -> str:
         return f"CheckpointStore({str(self.path)!r}, records={len(self)})"

@@ -10,8 +10,10 @@ FIFO dispatch lets a tenant that submits 100 jobs starve one that
 submits 2 — so dispatch order is **stride scheduling**: each tenant
 carries a virtual ``pass`` advancing by ``1/weight`` per job dispatched,
 and the queue always serves the eligible tenant with the smallest pass.
-Over any window, tenant throughput is proportional to weight, to within
-one job — the property the serve-smoke CI job asserts.
+A tenant that goes idle and comes back re-enters at the scheduler's
+virtual time, so idling banks no credit. Over any window in which
+tenants stay backlogged, throughput is proportional to weight, to
+within one job — the property the serve-smoke CI job asserts.
 
 Within a tenant, higher ``priority`` dispatches first; ties break by
 admission order, so scheduling is fully deterministic.
@@ -102,6 +104,7 @@ class JobQueue:
         self._pending = 0
         self._parked: list[Job] = []  # lease-backoff jobs, time-gated
         self._closed = False
+        self._vtime = 0.0  # last min pass over busy lanes; kept when idle
         self.dispatch_log: list[str] = []  # tenant per dispatch, in order
 
     # -- tenants -----------------------------------------------------------
@@ -133,9 +136,21 @@ class JobQueue:
         return self._lanes[name]
 
     def _virtual_time(self) -> float:
+        # caller holds the lock; min pass over busy lanes, remembered
+        # while every lane is idle
         busy = [lane.pass_ for lane in self._lanes.values()
                 if lane.heap or lane.active]
-        return min(busy) if busy else 0.0
+        if busy:
+            self._vtime = min(busy)
+        return self._vtime
+
+    def _enqueue(self, lane: _TenantLane, job: Job) -> None:
+        # caller holds the lock; a lane back from idle re-enters at the
+        # virtual time, or its stale pass would win every dispatch
+        if not lane.heap and not lane.active:
+            lane.pass_ = max(lane.pass_, self._virtual_time())
+        heapq.heappush(lane.heap, (-job.spec.priority, job.seq, job))
+        self._pending += 1
 
     # -- admission ---------------------------------------------------------
     def push(self, job: Job) -> None:
@@ -156,8 +171,7 @@ class JobQueue:
                     f"tenant {lane.name!r} is at its pending quota "
                     f"({lane.max_pending})",
                     retry_after=self._retry_hint(), reason="tenant_quota")
-            heapq.heappush(lane.heap, (-job.spec.priority, job.seq, job))
-            self._pending += 1
+            self._enqueue(lane, job)
             if self.observer.enabled:
                 self.observer.count("serve.queue.admitted")
                 self.observer.gauge("serve.queue_depth", self._pending)
@@ -193,9 +207,7 @@ class JobQueue:
         self._parked = [job for job in self._parked
                         if job.not_before > now]
         for job in ready:
-            lane = self._lane(job.spec.tenant)
-            heapq.heappush(lane.heap, (-job.spec.priority, job.seq, job))
-            self._pending += 1
+            self._enqueue(self._lane(job.spec.tenant), job)
 
     # -- dispatch ----------------------------------------------------------
     def pop(self, timeout: float | None = None) -> Job | None:
@@ -216,6 +228,7 @@ class JobQueue:
                     lane.pass_ += lane.stride
                     lane.active += 1
                     lane.dispatched += 1
+                    self._virtual_time()  # record it before lanes idle
                     self.dispatch_log.append(lane.name)
                     if self.observer.enabled:
                         self.observer.count("serve.queue.dispatched")

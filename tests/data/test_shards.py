@@ -141,6 +141,16 @@ class TestWriter:
         with pytest.raises(ShardCorruptionError):
             ShardWriter.resume(tmp_path / "d")
 
+    def test_resume_twice_keeps_array_names(self, tmp_path):
+        # A writer killed again right after resuming must still hold the
+        # dataset to its array names: the republished journal keeps them.
+        writer = ShardWriter(tmp_path / "d")
+        writer.append({"X": np.zeros(3)})
+        ShardWriter.resume(tmp_path / "d")  # dies before its next append
+        resumed = ShardWriter.resume(tmp_path / "d")
+        with pytest.raises(ValidationError, match="do not match"):
+            resumed.append({"Z": np.zeros(3)})
+
     def test_resume_sweeps_stray_temp_files(self, tmp_path):
         writer = ShardWriter(tmp_path / "d")
         writer.append({"X": np.zeros(3)})

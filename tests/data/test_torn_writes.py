@@ -1,19 +1,19 @@
 """Crash-consistency tests: SIGKILL mid-publish never tears a shard.
 
-A subprocess driver writes a sharded dataset with the
-``REPRO_DATA_SLOW_PUBLISH`` seam armed so the parent can SIGKILL it
-deterministically *inside* a publish window — after the temp file is
-fsynced but before the rename. The format's contract: no partial shard
-or manifest is ever visible under its final name, the journal only
-references checksum-valid shards, and resuming completes a dataset
-byte-identical to an uninterrupted run.
+A subprocess driver writes a sharded dataset with the crash seam of
+:mod:`repro.core.durable` armed, so it SIGKILLs itself deterministically
+*inside* a publish window — after the temp file is fsynced but before
+the rename. The format's contract: no partial shard or manifest is
+ever visible under its final name, the journal only references
+checksum-valid shards, and resuming completes a dataset byte-identical
+to an uninterrupted run. ``tests/core/test_crash_points.py`` enumerates
+every other seam point of every writer.
 """
 
 import os
 import signal
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -27,12 +27,13 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 _DRIVER = '''\
 """Torn-write driver (modes: ref | shard | manifest)."""
 import os
+import signal
 import sys
 
 import numpy as np
 
+from repro.core import durable
 from repro.data import ShardWriter
-from repro.data.shards import _SLOW_PUBLISH_ENV
 
 META = {"origin": "torn-write-test"}
 
@@ -44,8 +45,15 @@ def parts():
     return [{"X": X[i:i + 10], "y": y[i:i + 10]} for i in range(0, 30, 10)]
 
 
+def kill_after_fsync_of(name):
+    def hook(point, path):
+        if point == "fsynced" and path.name == name:
+            os.kill(os.getpid(), signal.SIGKILL)
+    durable._crash_hook = hook
+
+
 def main():
-    mode, path, ready = sys.argv[1:4]
+    mode, path = sys.argv[1:3]
     chunks = parts()
     writer = ShardWriter(path)
     if mode == "ref":
@@ -56,15 +64,13 @@ def main():
     if mode == "shard":
         for chunk in chunks[:2]:
             writer.append(chunk)
-        os.environ[_SLOW_PUBLISH_ENV] = "60"
-        open(ready, "w").close()
-        writer.append(chunks[2])  # parent SIGKILLs inside this publish
+        kill_after_fsync_of("shard-00002.shard")
+        writer.append(chunks[2])
     else:  # manifest
         for chunk in chunks:
             writer.append(chunk)
-        os.environ[_SLOW_PUBLISH_ENV] = "60"
-        open(ready, "w").close()
-        writer.finalize(META)  # parent SIGKILLs inside this publish
+        kill_after_fsync_of("manifest.json")
+        writer.finalize(META)
 
 
 main()
@@ -80,38 +86,21 @@ def _write_driver(tmp_path) -> Path:
 def _reference(driver, tmp_path) -> ShardedDataset:
     env = dict(os.environ, PYTHONPATH=SRC)
     subprocess.run([sys.executable, str(driver), "ref",
-                    str(tmp_path / "ref"), "unused"],
+                    str(tmp_path / "ref")],
                    check=True, timeout=120, env=env, cwd=tmp_path)
     return ShardedDataset(tmp_path / "ref")
 
 
 def _kill_mid_publish(driver, tmp_path, mode) -> Path:
-    """Run the driver in ``mode``, SIGKILL it inside the armed publish
-    window (temp file on disk, rename pending), return the dataset dir."""
+    """Run the driver in ``mode``; it SIGKILLs itself inside the armed
+    publish window (temp file fsynced, rename pending). Returns the
+    dataset dir."""
     target = tmp_path / mode
-    ready = tmp_path / f"{mode}.ready"
     env = dict(os.environ, PYTHONPATH=SRC)
-    process = subprocess.Popen(
-        [sys.executable, str(driver), mode, str(target), str(ready)],
-        env=env, cwd=tmp_path)
-    try:
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            if ready.exists() and list(target.glob("*.tmp")):
-                break
-            if process.poll() is not None:
-                raise AssertionError(
-                    f"driver exited early with {process.returncode}")
-            time.sleep(0.02)
-        else:
-            raise AssertionError("publish window never opened")
-        process.send_signal(signal.SIGKILL)
-        process.wait(timeout=60)
-    finally:
-        if process.poll() is None:
-            process.kill()
-            process.wait()
-    assert process.returncode != 0
+    process = subprocess.run([sys.executable, str(driver), mode,
+                              str(target)],
+                             timeout=120, env=env, cwd=tmp_path)
+    assert process.returncode == -signal.SIGKILL
     return target
 
 

@@ -52,6 +52,15 @@ class TestRowOperations:
         result = small_frame.filter(lambda r: r["flag"])
         assert len(result) == 3
 
+    def test_take_empty_list(self, small_frame):
+        assert small_frame.take([]).shape == (0, 4)
+
+    def test_filter_with_callable_on_empty_frame(self, small_frame):
+        empty = small_frame.take(np.arange(0))
+        result = empty.filter(lambda r: r["flag"])
+        assert result.shape == (0, 4)
+        assert result.columns == small_frame.columns
+
     def test_drop_rows_by_id(self, small_frame):
         target = small_frame.row_ids[1]
         result = small_frame.drop_rows([target])

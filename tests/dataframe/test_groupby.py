@@ -16,6 +16,13 @@ def frame():
 
 
 class TestGrouping:
+    def test_agg_on_empty_frame_keeps_columns(self, frame):
+        empty = frame.head(0)
+        result = empty.group_by("sector").agg(n=("salary", "count"),
+                                              avg=("salary", "mean"))
+        assert result.shape == (0, 3)
+        assert result.columns == ["sector", "n", "avg"]
+
     def test_group_count(self, frame):
         assert len(frame.group_by("sector")) == 2
 

@@ -1,6 +1,8 @@
 """Unit tests for query-plan rendering."""
 
-import networkx as nx
+import pytest
+
+nx = pytest.importorskip("networkx")
 
 from repro.pipelines import show_query_plan, source, to_networkx
 

@@ -115,6 +115,30 @@ class TestDispatchOrder:
         # never two-in-a-row for the latecomer
         assert all(not (x == y == "b") for x, y in zip(recent, recent[1:]))
 
+    def test_weighted_share_holds_across_idle_bursts(self):
+        # Between bursts both tenants go idle. A returning tenant must
+        # re-enter at the virtual time: otherwise the weight-2 tenant,
+        # which drains first each burst, banks the gap as credit and
+        # wins nearly every backlogged dispatch instead of 2/3.
+        queue = JobQueue()
+        queue.configure_tenant("a", weight=2.0)
+        queue.configure_tenant("b", weight=1.0)
+        backlogged = []
+        for _ in range(20):
+            pending = {"a": 6, "b": 6}
+            for _ in range(6):
+                queue.push(make_job("a"))
+                queue.push(make_job("b"))
+            for _ in range(12):
+                both = pending["a"] > 0 and pending["b"] > 0
+                tenant = queue.pop(timeout=1.0).spec.tenant
+                pending[tenant] -= 1
+                if both:
+                    backlogged.append(tenant)
+                queue.task_done(tenant)
+        share = backlogged.count("a") / len(backlogged)
+        assert abs(share - 2 / 3) <= 0.1
+
     def test_max_active_skips_saturated_tenant(self):
         queue = JobQueue()
         queue.configure_tenant("a", max_active=1)
