@@ -369,7 +369,8 @@ class ShardWriter:
         The journal is removed after the manifest lands, so a kill
         inside ``finalize`` leaves either a resumable partial dataset
         (manifest rename never happened) or a complete one — never an
-        ambiguous mixture: the final manifest, once visible, wins.
+        ambiguous mixture: the final manifest, once visible, wins, and
+        opening the dataset removes a journal the kill left behind.
         """
         if self._finalized:
             raise ValidationError("writer is already finalized")
@@ -380,8 +381,8 @@ class ShardWriter:
         publish(self.path / MANIFEST_NAME,
                 encode_envelope(self._manifest_payload(partial=False),
                                 schema=MANIFEST_SCHEMA))
-        remove(self.path / PARTIAL_MANIFEST_NAME)
         self._finalized = True
+        # Opening the published dataset removes the journal.
         return ShardedDataset(self.path, observer=self.observer)
 
     def __enter__(self):
@@ -456,6 +457,9 @@ class ShardedDataset:
                     "ShardWriter.resume(path) and finalize, or clear it")
             raise ValidationError(
                 f"{self.path} is not a sharded dataset (no {MANIFEST_NAME})")
+        # A writer killed between publishing the final manifest and
+        # removing its journal leaves a stale journal behind.
+        remove(self.path / PARTIAL_MANIFEST_NAME)
         self.shards = [ShardInfo.from_dict(e) for e in payload["shards"]]
         self.array_names: list[str] = list(payload["arrays"] or [])
         self.meta: dict = dict(payload.get("meta", {}))

@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
 from repro.core.exceptions import ValidationError
 from repro.core.rng import spawn_rngs
@@ -49,6 +48,9 @@ def beta_size_weights(n: int, alpha: float, beta: float) -> np.ndarray:
     """
     if alpha <= 0 or beta <= 0:
         raise ValidationError("alpha and beta must be positive")
+    # Imported here so importing the package does not load scipy.
+    from scipy.special import betaln, gammaln
+
     j = np.arange(n)
     log_binom = gammaln(n) - gammaln(j + 1) - gammaln(n - j)
     log_weight = log_binom + betaln(j + beta, n - 1 - j + alpha) - betaln(alpha, beta)

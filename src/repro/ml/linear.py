@@ -4,7 +4,8 @@ Logistic regression is the workhorse model of the tutorial (the influence
 functions in :mod:`repro.importance.influence` and the Zorro abstraction in
 :mod:`repro.uncertain.zorro` both rely on its differentiable loss), so it
 is implemented carefully: multinomial softmax, L2 regularization, and an
-L-BFGS solver from scipy.
+L-BFGS solver from scipy (``scipy.optimize`` is imported on the first fit,
+so importing the package does not pay for it).
 
 The solver cores are module-level helpers (``_logistic_problem``,
 ``_svc_problem``, ``_ridge_theta``, ``_minimize``) shared between the
@@ -20,7 +21,6 @@ same machinery across coalition prefixes).
 from __future__ import annotations
 
 import numpy as np
-from scipy import optimize
 
 from repro.core.exceptions import ValidationError
 from repro.core.validation import check_array, check_X_y
@@ -42,6 +42,8 @@ def _softmax(Z: np.ndarray) -> np.ndarray:
 
 def _minimize(objective, w0, max_iter: int, gtol: float):
     """The one L-BFGS-B call every linear solver in the package makes."""
+    from scipy import optimize
+
     return optimize.minimize(
         objective, w0, jac=True, method="L-BFGS-B",
         options={"maxiter": max_iter, "gtol": gtol},

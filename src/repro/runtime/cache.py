@@ -234,6 +234,15 @@ class FingerprintCache:
         return self.disk_dir / key[:2] / f"{key}.fpv"
 
     def _disk_read(self, key: str):
+        """The entry's float, ``_MISSING``, or ``_CORRUPT`` (file deleted).
+
+        An entry is accepted only if its text is exactly ``value.hex()`` of
+        the value it parses to. ``float.hex()`` always prints the full
+        13-digit mantissa, so a truncated mantissa (``0x1.555`` of
+        ``0x1.5555555555555p-2``) is caught. A truncated exponent that
+        still reads as a canonical float (``p-21`` cut to ``p-2``) is not:
+        entries carry no checksum.
+        """
         if self.disk_dir is None:
             return _MISSING
         path = self._disk_path(key)
@@ -245,12 +254,13 @@ class FingerprintCache:
             # Unreadable or non-ASCII garbage (a torn write, bit rot):
             # drop the entry so the next put can heal it.
             return self._discard_corrupt(path)
-        if not text:
-            return self._discard_corrupt(path)  # truncated to empty
         try:
-            return float.fromhex(text)
+            value = float.fromhex(text)
         except ValueError:
-            return self._discard_corrupt(path)  # truncated/garbled hex
+            return self._discard_corrupt(path)  # empty or garbled hex
+        if value.hex() != text:
+            return self._discard_corrupt(path)  # truncated hex
+        return value
 
     @staticmethod
     def _discard_corrupt(path: Path):

@@ -145,7 +145,10 @@ class CheckpointStore:
         self.path.mkdir(parents=True, exist_ok=True)
         self.keep = keep
         self.observer = resolve_observer(observer)
-        self._lock = threading.Lock()
+        # Re-entrant: the SIGTERM/SIGINT flush runs in the main thread on
+        # top of whatever it interrupted, which may be a write holding
+        # this lock; a plain Lock would hang the shutdown for good.
+        self._lock = threading.RLock()
 
     # -- record files ------------------------------------------------------
     def record_paths(self) -> list[Path]:

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from repro.core.exceptions import ValidationError
 
@@ -97,7 +97,7 @@ class AnytimeEstimate:
             raise ValidationError("every must be >= 1")
         self.every = int(every)
         self.confidence = float(confidence)
-        self._z = float(norm.ppf(0.5 + confidence / 2.0))
+        self._z = NormalDist().inv_cdf(0.5 + confidence / 2.0)
         self._cond = threading.Condition()
         self._seq = 0
         self._latest: PartialEstimate | None = None

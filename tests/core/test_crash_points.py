@@ -177,6 +177,7 @@ def _check_dataset(target, reference: ShardedDataset):
         dataset = writer.finalize(META)
     assert dataset.verify_all() == []
     assert not list(target.glob("*.tmp"))
+    assert not (target / PARTIAL_MANIFEST_NAME).exists()
     for name, data in expected.items():
         assert (target / name).read_bytes() == data, name
 

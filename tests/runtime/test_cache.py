@@ -1,5 +1,6 @@
 """Tests for fingerprinting and the two-tier FingerprintCache."""
 
+import math
 import os
 import subprocess
 import sys
@@ -140,6 +141,33 @@ class TestDiskTier:
         cache.put(key, 0.25)
         cache.clear_memory()
         assert cache.get(key) == 0.25
+
+    def test_truncated_mantissa_is_corrupt_not_a_wrong_float(self, tmp_path):
+        """``0x1.555`` still parses, to a different float; an entry must be
+        the canonical ``float.hex()`` of its own value to count as a hit."""
+        cache = FingerprintCache(disk_dir=tmp_path)
+        key = fingerprint("short")
+        cache.put(key, 1.0 / 3.0)
+        path = cache._disk_path(key)
+        assert path.read_text() == "0x1.5555555555555p-2"
+        path.write_text("0x1.555")
+        cache.clear_memory()
+        assert cache.get(key) is None
+        assert cache.stats.disk_corrupt == 1
+        assert cache.stats.disk_hits == 0
+        assert not path.exists()
+
+    def test_canonical_special_values_round_trip(self, tmp_path):
+        cache = FingerprintCache(disk_dir=tmp_path)
+        values = [0.0, -0.0, 5e-324, -1.5, float("inf"), float("-inf")]
+        for i, value in enumerate(values):
+            cache.put(fingerprint("special", i), value)
+        cache.put(fingerprint("nan"), float("nan"))
+        cache.clear_memory()
+        for i, value in enumerate(values):
+            assert cache.get(fingerprint("special", i)).hex() == value.hex()
+        assert math.isnan(cache.get(fingerprint("nan")))
+        assert cache.stats.disk_corrupt == 0
 
     def test_empty_and_garbage_entries_are_corrupt(self, tmp_path):
         cache = FingerprintCache(disk_dir=tmp_path)

@@ -11,12 +11,14 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.core import durable
 from repro.core.exceptions import ValidationError
 from repro.datasets import make_blobs
 from repro.importance import MonteCarloShapley, Utility, leave_one_out
@@ -33,6 +35,7 @@ from repro.runtime import (
     Runtime,
     resolve_checkpoint_store,
 )
+from repro.runtime.checkpoint import flush_all
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -193,6 +196,38 @@ class TestLoopCheckpointer:
         events = [e for e in data["events"]
                   if e["kind"] == "checkpoint.resume"]
         assert events[0]["completed"] == 4 and events[0]["total"] == 10
+
+    def test_shutdown_flush_inside_a_write_does_not_deadlock(
+            self, tmp_path, monkeypatch):
+        """The SIGTERM/SIGINT flush runs on top of whatever the main
+        thread was doing, which may be a cadence write to the same store:
+        it must publish the newer state, not wait for that write."""
+        ckpt = LoopCheckpointer(tmp_path, kind="demo", identity="id")
+        state = {"completed": 1}
+        flushed = []
+
+        def interrupt(point, path):
+            if point == "fsynced" and not flushed:
+                flushed.append(None)
+                state["completed"] = 2
+                flush_all()  # what the signal handler runs first
+                flushed.append(
+                    ckpt.store.load_latest("demo").payload["completed"])
+
+        monkeypatch.setattr(durable, "_crash_hook", interrupt)
+
+        def loop():
+            with ckpt.armed(lambda: dict(state)):
+                ckpt.flush()
+
+        # On a worker thread so a deadlock fails the test instead of
+        # hanging it (signal handlers are not installed off the main
+        # thread; flush_all runs the same hooks).
+        worker = threading.Thread(target=loop, daemon=True)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive(), "the shutdown flush deadlocked"
+        assert flushed == [None, 2]
 
     def test_invalid_cadence_rejected(self, tmp_path):
         with pytest.raises(ValidationError):

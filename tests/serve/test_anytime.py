@@ -31,6 +31,18 @@ class TestPublish:
         assert snap.width == pytest.approx(z * 0.2)
         assert snap.fraction == pytest.approx(0.1)
 
+    def test_quantile_matches_scipy_oracle(self):
+        """The interval quantile comes from the standard library; scipy's
+        ``norm.ppf`` is the independent check."""
+        confidences = np.linspace(0.5, 0.999, 200)
+        z = []
+        for confidence in confidences:
+            est = AnytimeEstimate(confidence=confidence)
+            publish(est, values=(0.0,), stderr=(1.0,))
+            z.append(est.latest().halfwidth[0])
+        np.testing.assert_allclose(z, norm.ppf(0.5 + confidences / 2.0),
+                                   rtol=1e-14, atol=0)
+
     def test_arrays_are_copied(self):
         est = AnytimeEstimate()
         values = np.array([1.0, 2.0])
